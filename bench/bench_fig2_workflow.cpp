@@ -83,8 +83,8 @@ void BM_ModuleSDplusIA(benchmark::State& state) {
         diag::RunSymptomsDatabase(Shared().ctx, Shared().config, pd, co, da,
                                   cr, Shared().symptoms)
             .value();
-    benchmark::DoNotOptimize(diag::RunImpactAnalysis(
-        Shared().ctx, Shared().config, co, cr, &causes));
+    benchmark::DoNotOptimize(
+        diag::RunImpactAnalysis(Shared().ctx, co, cr, &causes));
   }
 }
 BENCHMARK(BM_ModuleSDplusIA)->Unit(benchmark::kMicrosecond);

@@ -48,7 +48,7 @@ void BM_ImpactInverseDependency(benchmark::State& state) {
   for (auto _ : state) {
     std::vector<diag::RootCause> copy = causes;
     benchmark::DoNotOptimize(diag::RunImpactAnalysis(
-        ctx, config, co, cr, &copy, diag::ImpactMethod::kInverseDependency));
+        ctx, co, cr, &copy, diag::ImpactMethod::kInverseDependency));
   }
 }
 BENCHMARK(BM_ImpactInverseDependency)->Unit(benchmark::kMicrosecond);

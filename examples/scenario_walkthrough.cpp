@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
   std::printf("%s", RenderSdResult(ctx, causes).c_str());
 
   Say("Module IA (impact analysis)");
-  (void)diag::RunImpactAnalysis(ctx, config, co, cr, &causes);
+  (void)diag::RunImpactAnalysis(ctx, co, cr, &causes);
   std::printf("Paper: \"an impact score of 99.8%% for the high-confidence\n"
               "root cause found.\"\n");
   std::printf("%s", RenderIaResult(ctx, causes).c_str());

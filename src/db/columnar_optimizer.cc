@@ -3,12 +3,11 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <functional>
-#include <map>
 #include <memory>
 #include <vector>
 
 #include "common/strings.h"
+#include "db/join_order.h"
 
 namespace diads::db {
 
@@ -44,45 +43,12 @@ Result<double> GetColumnarParamByName(const ColumnarParams& params,
   return Status::InvalidArgument("unknown parameter: " + name);
 }
 
-/// Internal plan node built during enumeration; flattened into a Plan at
-/// the end. Shared pointers let DP states share subtrees cheaply.
-struct ColumnarOptimizer::Node {
-  OpType type = OpType::kSeqScan;
-  std::vector<std::shared_ptr<const Node>> children;
-  std::string alias;
-  std::string table;
-  std::string index_name;
-  std::string detail;
-  std::string engine_op;   ///< "vector scan", "zone-pruned scan", ...
-  double rows = 0;
-  double cost = 0;         ///< Cumulative.
-  double pages = 0;        ///< Segment pages attributable to this op itself.
-  double width = 64;       ///< Bytes per output row (projected columns).
-};
-
 namespace {
-
-using NodePtr = std::shared_ptr<const ColumnarOptimizer::Node>;
-
-struct PlannerCtx {
-  const Catalog* catalog;
-  const ColumnarParams* params;
-};
 
 /// Fraction of a table's pages a scan actually touches: only the columns
 /// the query references are decompressed (Q2 projects a handful of the
 /// TPC-H columns), so page math is scaled down uniformly.
 constexpr double kColumnProjection = 0.35;
-
-double ColumnNdv(const PlannerCtx& ctx, const QuerySpec& spec,
-                 const std::string& alias, const std::string& column) {
-  const TableRef* ref = spec.FindAlias(alias);
-  if (ref == nullptr) return 1000;
-  Result<const TableDef*> table = ctx.catalog->FindTable(ref->table);
-  if (!table.ok()) return 1000;
-  const ColumnStats* col = (*table)->FindColumn(column);
-  return col != nullptr ? std::max(1.0, col->ndv) : 1000;
-}
 
 double Batches(const ColumnarParams& p, double rows) {
   return std::ceil(std::max(1.0, rows) / std::max(1.0, p.vector_batch_rows));
@@ -100,25 +66,54 @@ std::vector<std::string> JoinColumnsOf(const QuerySpec& spec,
   return out;
 }
 
+/// The column-store-ish hooks into the shared join-order search.
+class ColumnarPlanner final : public JoinOrderDp {
+ public:
+  ColumnarPlanner(const Catalog* catalog, const ColumnarParams& params)
+      : JoinOrderDp(catalog, "limit"), p_(params) {}
+
+ private:
+  Result<PlanNodePtr> ScanPath(const QuerySpec& spec,
+                               const TableRef& ref) const override;
+  std::vector<PlanNodePtr> JoinMethods(const JoinStep& step) const override {
+    return {MakeHashJoin(step.outer, step.inner_scan, JoinDetail(step.pred),
+                         step.out_rows)};
+  }
+  PlanNodePtr CartesianJoin(const PlanNodePtr& outer, const PlanNodePtr& inner,
+                            double out_rows) const override {
+    return MakeHashJoin(outer, inner, "cartesian", out_rows);
+  }
+  void CostAggregate(const PlanNode& input, PlanNode* agg) const override;
+  void CostSort(const PlanNode& input, PlanNode* sort) const override;
+  PlanNodePtr JoinSubquery(const PlanNodePtr& main, const PlanNodePtr& sub,
+                           const JoinPredicate& pred,
+                           double out_rows) const override;
+
+  PlanNodePtr MakeHashJoin(const PlanNodePtr& outer, const PlanNodePtr& inner,
+                           const std::string& detail, double out_rows) const;
+
+  const ColumnarParams& p_;
+};
+
 /// Best access path for one table reference: a full vector scan vs a
 /// zone-pruned scan through the best available zone map. Both paths are
 /// decompression-dominated; pruning trades per-zone min/max consults for
 /// skipped segments, and pays off in proportion to the column's physical
 /// clustering.
-Result<NodePtr> ScanPath(const PlannerCtx& ctx, const QuerySpec& spec,
-                         const TableRef& ref) {
-  Result<const TableDef*> table_r = ctx.catalog->FindTable(ref.table);
+Result<PlanNodePtr> ColumnarPlanner::ScanPath(const QuerySpec& spec,
+                                              const TableRef& ref) const {
+  Result<const TableDef*> table_r = catalog().FindTable(ref.table);
   DIADS_RETURN_IF_ERROR(table_r.status());
   const TableDef& table = **table_r;
   const TableStats& stats = table.optimizer_stats;
-  const ColumnarParams& p = *ctx.params;
+  const ColumnarParams& p = p_;
 
   const double out_rows =
       std::max(1.0, stats.row_count * ref.filter_selectivity);
   const double zones = Batches(p, stats.row_count);
   const double full_pages = std::max(1.0, stats.pages() * kColumnProjection);
 
-  auto full = std::make_shared<ColumnarOptimizer::Node>();
+  auto full = std::make_shared<PlanNode>();
   full->type = OpType::kSeqScan;
   full->engine_op = "vector scan";
   full->alias = ref.alias;
@@ -146,8 +141,8 @@ Result<NodePtr> ScanPath(const PlannerCtx& ctx, const QuerySpec& spec,
   };
   std::vector<PruneOption> options;
   if (!ref.filter_column.empty()) {
-    for (const IndexDef* zm : ctx.catalog->IndexesOn(ref.table,
-                                                     ref.filter_column)) {
+    for (const IndexDef* zm : catalog().IndexesOn(ref.table,
+                                                  ref.filter_column)) {
       // A predicate gives explicit value bounds, so zone min/max pruning
       // approaches the selectivity on a well-clustered column and decays
       // to nothing on a shuffled one.
@@ -158,7 +153,7 @@ Result<NodePtr> ScanPath(const PlannerCtx& ctx, const QuerySpec& spec,
     }
   }
   for (const std::string& column : JoinColumnsOf(spec, ref.alias)) {
-    for (const IndexDef* zm : ctx.catalog->IndexesOn(ref.table, column)) {
+    for (const IndexDef* zm : catalog().IndexesOn(ref.table, column)) {
       // Semi-join pushdown. Unique-key zone maps never prune: the key
       // values spread across every segment, so each zone's min/max spans
       // the whole domain.
@@ -169,10 +164,10 @@ Result<NodePtr> ScanPath(const PlannerCtx& ctx, const QuerySpec& spec,
     }
   }
 
-  NodePtr best = full;
+  PlanNodePtr best = full;
   for (const PruneOption& option : options) {
     const double scanned_rows = option.fraction * stats.row_count;
-    auto pruned = std::make_shared<ColumnarOptimizer::Node>();
+    auto pruned = std::make_shared<PlanNode>();
     pruned->type = OpType::kIndexScan;
     pruned->engine_op = "zone-pruned scan";
     pruned->alias = ref.alias;
@@ -194,39 +189,15 @@ Result<NodePtr> ScanPath(const PlannerCtx& ctx, const QuerySpec& spec,
   return best;
 }
 
-/// The join predicate (if any) connecting `alias` to any alias in `joined`.
-const JoinPredicate* FindConnection(const QuerySpec& spec,
-                                    const std::vector<std::string>& joined,
-                                    const std::string& alias) {
-  for (const JoinPredicate& j : spec.joins) {
-    for (const std::string& a : joined) {
-      if ((j.left_alias == a && j.right_alias == alias) ||
-          (j.right_alias == a && j.left_alias == alias)) {
-        return &j;
-      }
-    }
-  }
-  return nullptr;
-}
-
-double JoinOutputRows(const PlannerCtx& ctx, const QuerySpec& spec,
-                      double outer_rows, double inner_rows,
-                      const JoinPredicate& pred) {
-  const double ndv_l =
-      ColumnNdv(ctx, spec, pred.left_alias, pred.left_column);
-  const double ndv_r =
-      ColumnNdv(ctx, spec, pred.right_alias, pred.right_column);
-  return std::max(1.0, outer_rows * inner_rows / std::max(ndv_l, ndv_r));
-}
-
 /// Vectorized hash join, the engine's only join: a blocking hash build
 /// over the newly joined side, probed in batches by the outer.
-NodePtr MakeHashJoin(const PlannerCtx& ctx, const NodePtr& outer,
-                     const NodePtr& inner, const std::string& detail,
-                     double out_rows) {
-  const ColumnarParams& p = *ctx.params;
+PlanNodePtr ColumnarPlanner::MakeHashJoin(const PlanNodePtr& outer,
+                                          const PlanNodePtr& inner,
+                                          const std::string& detail,
+                                          double out_rows) const {
+  const ColumnarParams& p = p_;
 
-  auto build = std::make_shared<ColumnarOptimizer::Node>();
+  auto build = std::make_shared<PlanNode>();
   build->type = OpType::kHash;
   build->engine_op = "hash build";
   build->children = {inner};
@@ -234,7 +205,7 @@ NodePtr MakeHashJoin(const PlannerCtx& ctx, const NodePtr& outer,
   build->width = inner->width;
   build->cost = inner->cost + inner->rows * p.tuple_reconstruct_cost;
 
-  auto join = std::make_shared<ColumnarOptimizer::Node>();
+  auto join = std::make_shared<PlanNode>();
   join->type = OpType::kHashJoin;
   join->engine_op = "vectorized hash join";
   join->children = {outer, build};
@@ -248,114 +219,38 @@ NodePtr MakeHashJoin(const PlannerCtx& ctx, const NodePtr& outer,
   return join;
 }
 
-/// Plans one query block (no subquery handling) with left-deep DP over
-/// hash-join orders.
-Result<NodePtr> PlanBlock(const PlannerCtx& ctx, const QuerySpec& spec) {
-  if (spec.tables.empty()) {
-    return Status::InvalidArgument("query block has no tables");
-  }
-  if (spec.tables.size() > 16) {
-    return Status::InvalidArgument("too many tables in block (max 16)");
-  }
-  const size_t n = spec.tables.size();
+void ColumnarPlanner::CostAggregate(const PlanNode& input,
+                                    PlanNode* agg) const {
+  agg->engine_op = "vectorized hash agg";
+  agg->cost = input.cost +
+              Batches(p_, input.rows) * p_.batch_dispatch_cost +
+              input.rows * 0.5 * p_.tuple_reconstruct_cost +
+              agg->rows * p_.tuple_reconstruct_cost;
+}
 
-  struct DpState {
-    NodePtr node;
-    std::vector<std::string> aliases;
-  };
-  std::map<uint32_t, DpState> dp;
+void ColumnarPlanner::CostSort(const PlanNode& input, PlanNode* sort) const {
+  sort->engine_op = "vectorized merge sort";
+  const double n = std::max(2.0, input.rows);
+  sort->cost =
+      input.cost + n * std::log2(n) * 0.5 * p_.tuple_reconstruct_cost;
+}
 
-  for (size_t i = 0; i < n; ++i) {
-    Result<NodePtr> scan = ScanPath(ctx, spec, spec.tables[i]);
-    DIADS_RETURN_IF_ERROR(scan.status());
-    dp[1u << i] = DpState{*scan, {spec.tables[i].alias}};
-  }
-
-  for (size_t size = 1; size < n; ++size) {
-    std::vector<uint32_t> masks;
-    for (const auto& [mask, state] : dp) {
-      if (static_cast<size_t>(__builtin_popcount(mask)) == size) {
-        masks.push_back(mask);
-      }
-    }
-    for (uint32_t mask : masks) {
-      const DpState& outer_state = dp[mask];
-      // A cartesian extension is allowed only when nothing better exists:
-      // no remaining table joins this subset (disconnected join graph, or
-      // no predicates at all).
-      bool any_connected = false;
-      for (size_t i = 0; i < n; ++i) {
-        if (mask & (1u << i)) continue;
-        if (FindConnection(spec, outer_state.aliases,
-                           spec.tables[i].alias) != nullptr) {
-          any_connected = true;
-        }
-      }
-      for (size_t i = 0; i < n; ++i) {
-        if (mask & (1u << i)) continue;
-        const TableRef& inner_ref = spec.tables[i];
-        // The singleton states already hold each table's best access path.
-        const NodePtr& inner_scan = dp[1u << i].node;
-        const JoinPredicate* pred =
-            FindConnection(spec, outer_state.aliases, inner_ref.alias);
-        NodePtr candidate;
-        if (pred != nullptr) {
-          const double out_rows =
-              JoinOutputRows(ctx, spec, outer_state.node->rows,
-                             inner_scan->rows, *pred);
-          candidate = MakeHashJoin(
-              ctx, outer_state.node, inner_scan,
-              StrFormat("%s.%s = %s.%s", pred->left_alias.c_str(),
-                        pred->left_column.c_str(), pred->right_alias.c_str(),
-                        pred->right_column.c_str()),
-              out_rows);
-        } else if (!any_connected) {
-          candidate = MakeHashJoin(ctx, outer_state.node, inner_scan,
-                                   "cartesian",
-                                   outer_state.node->rows * inner_scan->rows);
-        } else {
-          continue;
-        }
-        const uint32_t new_mask = mask | (1u << i);
-        auto it = dp.find(new_mask);
-        if (it == dp.end() || candidate->cost < it->second.node->cost) {
-          DpState state;
-          state.node = candidate;
-          state.aliases = outer_state.aliases;
-          state.aliases.push_back(inner_ref.alias);
-          dp[new_mask] = std::move(state);
-        }
-      }
-    }
-  }
-
-  const uint32_t full = n == 32 ? 0xFFFFFFFFu : ((1u << n) - 1);
-  auto it = dp.find(full);
-  if (it == dp.end()) {
-    return Status::Internal("join enumeration failed to cover all tables");
-  }
-  NodePtr result = it->second.node;
-
-  if (spec.aggregate) {
-    const ColumnarParams& p = *ctx.params;
-    auto agg = std::make_shared<ColumnarOptimizer::Node>();
-    agg->type = OpType::kAggregate;
-    agg->engine_op = "vectorized hash agg";
-    agg->children = {result};
-    const double groups = std::min(
-        result->rows,
-        ColumnNdv(ctx, spec, spec.agg_group_alias, spec.agg_group_column));
-    agg->rows = std::max(1.0, groups);
-    agg->width = result->width;
-    agg->cost = result->cost +
-                Batches(p, result->rows) * p.batch_dispatch_cost +
-                result->rows * 0.5 * p.tuple_reconstruct_cost +
-                agg->rows * p.tuple_reconstruct_cost;
-    agg->detail = StrFormat("group by %s.%s", spec.agg_group_alias.c_str(),
-                            spec.agg_group_column.c_str());
-    result = agg;
-  }
-  return result;
+/// Late materialization of the decorrelated block: the subquery's result
+/// is buffered as a column block and hash-joined back into the main block
+/// — there is no per-row probing machinery to do anything else with it.
+PlanNodePtr ColumnarPlanner::JoinSubquery(const PlanNodePtr& main,
+                                          const PlanNodePtr& sub,
+                                          const JoinPredicate& pred,
+                                          double out_rows) const {
+  auto mat = std::make_shared<PlanNode>();
+  mat->type = OpType::kMaterialize;
+  mat->engine_op = "late materialize";
+  mat->children = {sub};
+  mat->rows = sub->rows;
+  mat->width = sub->width;
+  mat->cost = sub->cost + sub->rows * 0.5 * p_.tuple_reconstruct_cost;
+  mat->detail = "column block buffer";
+  return MakeHashJoin(main, mat, JoinDetail(pred), out_rows);
 }
 
 }  // namespace
@@ -367,96 +262,7 @@ ColumnarOptimizer::ColumnarOptimizer(const Catalog* catalog,
 }
 
 Result<Plan> ColumnarOptimizer::Optimize(const QuerySpec& spec) const {
-  PlannerCtx ctx{catalog_, &params_};
-
-  Result<NodePtr> main_r = PlanBlock(ctx, spec);
-  DIADS_RETURN_IF_ERROR(main_r.status());
-  NodePtr root = *main_r;
-
-  if (spec.subplan != nullptr) {
-    // Late materialization of the decorrelated block: the subquery's
-    // result is buffered as a column block and hash-joined back into the
-    // main block — there is no per-row probing machinery to do anything
-    // else with it.
-    Result<NodePtr> sub_r = PlanBlock(ctx, *spec.subplan);
-    DIADS_RETURN_IF_ERROR(sub_r.status());
-    const ColumnarParams& p = params_;
-
-    auto mat = std::make_shared<Node>();
-    mat->type = OpType::kMaterialize;
-    mat->engine_op = "late materialize";
-    mat->children = {*sub_r};
-    mat->rows = (*sub_r)->rows;
-    mat->width = (*sub_r)->width;
-    mat->cost = (*sub_r)->cost +
-                (*sub_r)->rows * 0.5 * p.tuple_reconstruct_cost;
-    mat->detail = "column block buffer";
-
-    const double out_rows =
-        std::max(1.0, root->rows * spec.subplan_join_selectivity);
-    root = MakeHashJoin(
-        ctx, root, mat,
-        StrFormat("%s.%s = %s.%s", spec.subplan_join.left_alias.c_str(),
-                  spec.subplan_join.left_column.c_str(),
-                  spec.subplan_join.right_alias.c_str(),
-                  spec.subplan_join.right_column.c_str()),
-        out_rows);
-  }
-
-  if (spec.sort) {
-    const ColumnarParams& p = params_;
-    auto sort = std::make_shared<Node>();
-    sort->type = OpType::kSort;
-    sort->engine_op = "vectorized merge sort";
-    sort->children = {root};
-    sort->rows = root->rows;
-    sort->width = root->width;
-    const double n = std::max(2.0, root->rows);
-    sort->cost =
-        root->cost + n * std::log2(n) * 0.5 * p.tuple_reconstruct_cost;
-    sort->detail = "order by result keys";
-    root = sort;
-  }
-  if (spec.limit > 0) {
-    auto limit = std::make_shared<Node>();
-    limit->type = OpType::kLimit;
-    limit->engine_op = "limit";
-    limit->children = {root};
-    limit->rows = std::min<double>(spec.limit, root->rows);
-    limit->width = root->width;
-    limit->cost = root->cost;
-    limit->detail = StrFormat("limit %d", spec.limit);
-    root = limit;
-  }
-  auto result_node = std::make_shared<Node>();
-  result_node->type = OpType::kResult;
-  result_node->children = {root};
-  result_node->rows = root->rows;
-  result_node->width = root->width;
-  result_node->cost = root->cost;
-  root = result_node;
-
-  // Flatten the node tree into a Plan (children added before parents).
-  PlanBuilder builder(spec.name);
-  std::function<int(const NodePtr&)> emit = [&](const NodePtr& node) -> int {
-    std::vector<int> children;
-    children.reserve(node->children.size());
-    for (const NodePtr& child : node->children) children.push_back(emit(child));
-    int index;
-    if (node->type == OpType::kSeqScan || node->type == OpType::kIndexScan) {
-      assert(children.empty());
-      index = builder.AddScan(node->type, node->alias, node->table,
-                              node->index_name);
-      builder.SetDetail(index, node->detail);
-    } else {
-      index = builder.AddOp(node->type, children, node->detail);
-    }
-    builder.SetEstimates(index, node->rows, node->cost, node->pages);
-    builder.SetEngineOp(index, node->engine_op);
-    return index;
-  };
-  const int root_index = emit(root);
-  return builder.Build(root_index);
+  return ColumnarPlanner(catalog_, params_).Optimize(spec);
 }
 
 }  // namespace diads::db

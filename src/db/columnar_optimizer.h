@@ -1,6 +1,9 @@
 // Column-store-ish cost-based optimizer.
 //
-// The third synthetic engine's planner, deliberately different from both
+// The third synthetic engine's planner. The left-deep join-order DP, the
+// block structure and the plan flattening are shared with the other
+// engines (db/join_order.h); only the access paths, join method and cost
+// vocabulary below are this engine's, deliberately different from both
 // row-store planners along the axes real column stores differ:
 //
 //   * Vectorized scans whose cost is CPU-shaped, not I/O-shaped. Columns
@@ -87,10 +90,6 @@ class ColumnarOptimizer {
 
   const ColumnarParams& params() const { return params_; }
   void set_params(ColumnarParams params) { params_ = params; }
-
-  /// Internal plan-tree node (defined in the .cc; public so the planner's
-  /// free helper functions can build candidate subtrees).
-  struct Node;
 
  private:
   const Catalog* catalog_;

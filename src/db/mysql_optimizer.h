@@ -1,6 +1,9 @@
 // MySQL-ish cost-based optimizer.
 //
-// The second synthetic engine's planner, deliberately different from the
+// The second synthetic engine's planner. The left-deep join-order DP, the
+// block structure and the plan flattening are shared with the other
+// engines (db/join_order.h); only the access paths, join methods and cost
+// vocabulary below are this engine's, deliberately different from the
 // PostgreSQL-ish Optimizer along the axes real MySQL differs:
 //
 //   * One I/O cost. MySQL's cost model charges io_block_read_cost for any
@@ -74,10 +77,6 @@ class MysqlOptimizer {
 
   const MysqlParams& params() const { return params_; }
   void set_params(MysqlParams params) { params_ = params; }
-
-  /// Internal plan-tree node (defined in the .cc; public so the planner's
-  /// free helper functions can build candidate subtrees).
-  struct Node;
 
  private:
   const Catalog* catalog_;

@@ -1,10 +1,12 @@
 // Cost-based query optimizer.
 //
-// A System-R-style optimizer in the PostgreSQL tradition: per-table access
-// path selection (sequential vs. index scan), left-deep dynamic-programming
-// join enumeration with nested-loop/hash/merge join methods, and blocks
-// (the decorrelated subquery is planned independently, aggregated, and
-// joined into the main block).
+// A System-R-style optimizer in the PostgreSQL tradition. The left-deep
+// join-order DP, the block structure (the decorrelated subquery is planned
+// independently, aggregated, and joined into the main block) and the plan
+// flattening are shared with the other engines (db/join_order.h); this
+// engine supplies only its access paths (sequential vs. index scan), its
+// join methods (hash join, index nested loop, materialized nested loop)
+// and its cost vocabulary (DbParams: seq/random page costs, work_mem).
 //
 // Why the reproduction needs a real optimizer: Module PD diagnoses *plan
 // changes* by checking, for every schema/configuration event between a good
@@ -61,10 +63,6 @@ class Optimizer {
 
   const DbParams& params() const { return params_; }
   void set_params(DbParams params) { params_ = params; }
-
-  /// Internal plan-tree node (defined in the .cc; public so the planner's
-  /// free helper functions can build candidate subtrees).
-  struct Node;
 
  private:
   const Catalog* catalog_;

@@ -107,8 +107,7 @@ std::vector<int> OperatorsAffectedBy(const DiagnosisContext& ctx,
   return std::vector<int>(ops.begin(), ops.end());
 }
 
-Status RunImpactAnalysis(const DiagnosisContext& ctx,
-                         const WorkflowConfig& config, const CoResult& co,
+Status RunImpactAnalysis(const DiagnosisContext& ctx, const CoResult& co,
                          const CrResult& cr, std::vector<RootCause>* causes,
                          ImpactMethod method) {
   const std::vector<const db::QueryRunRecord*> good = ctx.SatisfactoryRuns();

@@ -31,8 +31,7 @@ enum class ImpactMethod { kInverseDependency, kCostModel };
 /// Fills `impact_pct` on every cause whose band is high or medium (the
 /// paper computes impact for high-confidence causes; medium is included so
 /// the report can show why medium causes are dismissed).
-Status RunImpactAnalysis(const DiagnosisContext& ctx,
-                         const WorkflowConfig& config, const CoResult& co,
+Status RunImpactAnalysis(const DiagnosisContext& ctx, const CoResult& co,
                          const CrResult& cr, std::vector<RootCause>* causes,
                          ImpactMethod method = ImpactMethod::kInverseDependency);
 

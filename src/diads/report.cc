@@ -108,7 +108,7 @@ std::string RenderFullReport(const DiagnosisContext& ctx,
     out += "\n\n";
   }
 
-  out += RenderPdResult(ctx, report.pd) + "\n";
+  out += RenderPdResult(report.pd) + "\n";
   out += RenderCoResult(ctx, report.co) + "\n";
   out += RenderDaResult(ctx, report.da) + "\n";
   out += RenderCrResult(ctx, report.cr) + "\n";

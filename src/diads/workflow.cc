@@ -97,7 +97,7 @@ Result<DiagnosisReport> Workflow::Diagnose(ImpactMethod impact_method,
       report.causes = std::move(*causes);
     } else {
       report.causes =
-          FallbackCauses(ctx_, config_, report.co, report.da, report.cr);
+          FallbackCauses(ctx_, config_, report.da, report.cr);
     }
   }
 
@@ -106,7 +106,7 @@ Result<DiagnosisReport> Workflow::Diagnose(ImpactMethod impact_method,
     obs::SpanHandle span = ctx_.trace.StartSpan("module:IA", "workflow");
     ModuleTimer timer(Slot(timings, &ModuleTimings::ia_ms));
     DIADS_RETURN_IF_ERROR(RunImpactAnalysis(
-        ctx_, config_, report.co, report.cr, &report.causes, impact_method));
+        ctx_, report.co, report.cr, &report.causes, impact_method));
   }
   report.summary = SummarizeReport(ctx_, report);
   return report;
@@ -159,8 +159,7 @@ Result<DiagnosisReport> Workflow::DiagnoseWithCollection(
 
 std::vector<RootCause> FallbackCauses(const DiagnosisContext& ctx,
                                       const WorkflowConfig& config,
-                                      const CoResult& co, const DaResult& da,
-                                      const CrResult& cr) {
+                                      const DaResult& da, const CrResult& cr) {
   std::vector<RootCause> causes;
   const ComponentRegistry& registry = ctx.topology->registry();
   for (ComponentId component : da.correlated_component_set) {
@@ -307,7 +306,7 @@ Result<std::string> InteractiveSession::Run(Module module) {
       DIADS_RETURN_IF_ERROR(pd.status());
       report_.pd = std::move(*pd);
       ran_pd_ = true;
-      return RenderPdResult(ctx_, report_.pd);
+      return RenderPdResult(report_.pd);
     }
     case Module::kCo: {
       Result<CoResult> co = RunCorrelatedOperators(ctx_, config_);
@@ -339,14 +338,14 @@ Result<std::string> InteractiveSession::Run(Module module) {
         report_.causes = std::move(*causes);
       } else {
         report_.causes =
-            FallbackCauses(ctx_, config_, report_.co, report_.da, report_.cr);
+            FallbackCauses(ctx_, config_, report_.da, report_.cr);
       }
       ran_sd_ = true;
       return RenderSdResult(ctx_, report_.causes);
     }
     case Module::kIa: {
-      DIADS_RETURN_IF_ERROR(RunImpactAnalysis(
-          ctx_, config_, report_.co, report_.cr, &report_.causes));
+      DIADS_RETURN_IF_ERROR(
+          RunImpactAnalysis(ctx_, report_.co, report_.cr, &report_.causes));
       ran_ia_ = true;
       report_.summary = SummarizeReport(ctx_, report_);
       return RenderIaResult(ctx_, report_.causes) + "\n" + report_.summary +

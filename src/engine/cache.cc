@@ -53,8 +53,7 @@ ResultCache::Shard& ResultCache::ShardFor(const CacheKey& key) {
 std::shared_ptr<const diag::DiagnosisReport> ResultCache::Get(
     const CacheKey& key,
     std::shared_ptr<const CollectionSummary>* collection,
-    bool validate_generation, const void* authority,
-    uint64_t store_generation) {
+    const void* authority, uint64_t store_generation) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.index.find(key);
@@ -62,9 +61,8 @@ std::shared_ptr<const diag::DiagnosisReport> ResultCache::Get(
     ++shard.misses;
     return nullptr;
   }
-  if (validate_generation &&
-      (it->second->authority != authority ||
-       it->second->store_generation != store_generation)) {
+  if (it->second->authority != authority ||
+      it->second->store_generation != store_generation) {
     // The report predates the store's current data (or was computed from a
     // different store entirely): drop it so it can never be served stale.
     shard.lru.erase(it->second);

@@ -194,9 +194,7 @@ std::future<DiagnosisResponse> DiagnosisEngine::Submit(
     const monitor::TimeSeriesStore* authority = AuthorityOf(request);
     const uint64_t generation = authority->StoreGeneration();
     if (std::shared_ptr<const diag::DiagnosisReport> report =
-            cache_.Get(key, &cached_collection,
-                       options_.invalidate_results_on_append, authority,
-                       generation)) {
+            cache_.Get(key, &cached_collection, authority, generation)) {
       cache_span.Note("outcome", "hit");
       cache_span.End();
       stats_.RecordCacheHit();
@@ -207,12 +205,10 @@ std::future<DiagnosisResponse> DiagnosisEngine::Submit(
       // missing or older. Checking the tenant row alone suffices because
       // every store invalidation path (InvalidateTenant,
       // InvalidateComponent, DropStale) drops it along with the targeted
-      // rows. Only safe with generation-validated hits: they guarantee
-      // this report reflects the store's current data, so the fresh
-      // stamps are truthful. (Legacy mode keeps the gap: a stale hit
-      // must not pose as a fresh verdict.)
-      if (options_.fleet_store != nullptr &&
-          options_.invalidate_results_on_append) {
+      // rows. Safe because hits are generation-validated: this report
+      // reflects the store's current data, so the fresh stamps are
+      // truthful.
+      if (options_.fleet_store != nullptr) {
         const fleet::FleetStore::Row row = options_.fleet_store->Get(
             fleet::FleetKey{request.tag, "", key.window_begin,
                             key.window_end});

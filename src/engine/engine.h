@@ -134,6 +134,15 @@ struct DiagnosisResponse {
 struct EngineOptions {
   int workers = 4;
   size_t queue_capacity = 128;
+  /// Result cache for exact repeats. Hits are generation-validated: a
+  /// cached report is served only while the tenant store's
+  /// StoreGeneration still equals the value recorded when the report was
+  /// computed, so a query issued after new monitoring data arrives
+  /// recomputes instead of serving stale. Scope: the guarantee covers
+  /// appends that happen-before Submit (the store is not thread-safe
+  /// against appends racing an in-flight diagnosis, so a coalesced waiter
+  /// may legally share the report of a computation started before its
+  /// Submit).
   bool enable_cache = true;
   size_t cache_capacity = 1024;
   int cache_shards = 8;
@@ -162,22 +171,11 @@ struct EngineOptions {
   /// *computed* diagnosis is lowered to a fleet::TenantVerdict
   /// (ExtractVerdict over the request's context) and published after
   /// completion; coalesced waiters were already published by the
-  /// computation they joined, and a generation-validated cache hit
-  /// republishes only when the store's tenant row is missing or older
+  /// computation they joined, and a cache hit republishes only when the store's tenant row is missing or older
   /// (repopulation after an explicit fleet-store invalidation). Not
   /// owned; must outlive the engine. Publishing never changes the report
   /// (ReportDigest is identical with the store attached or not).
   fleet::FleetStore* fleet_store = nullptr;
-  /// Generation-validate result-cache hits: a cached report is served
-  /// only while the tenant store's StoreGeneration still equals the value
-  /// recorded when the report was computed, so a query issued after new
-  /// monitoring data arrives recomputes instead of serving stale. Uses
-  /// the same append counters the model cache invalidates on. Scope: the
-  /// guarantee covers appends that happen-before Submit (the store is
-  /// not thread-safe against appends racing an in-flight diagnosis, so a
-  /// coalesced waiter may legally share the report of a computation
-  /// started before its Submit).
-  bool invalidate_results_on_append = true;
   /// Tenant-fair admission + dispatch discipline for the work queue
   /// (weights, share fractions, DRR quantum — see fair_queue.h). Enabled
   /// by default; disable for the legacy single-FIFO behavior that

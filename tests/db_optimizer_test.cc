@@ -1,9 +1,16 @@
-// Unit tests for the optimizer: access-path selection, join enumeration,
-// subquery blocks, and — critically for Module PD — plan sensitivity to
-// index drops, statistics refreshes, and cost parameters.
+// Unit tests for the optimizers: the shared join-order search (block
+// checks, join enumeration, the cartesian fallback, subquery blocks) on
+// every backend, and PostgreSQL access-path selection and — critically for
+// Module PD — plan sensitivity to index drops, statistics refreshes, and
+// cost parameters.
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <set>
+#include <string>
+
 #include "common/event_log.h"
+#include "db/backend.h"
 #include "db/catalog.h"
 #include "db/optimizer.h"
 #include "db/query.h"
@@ -33,7 +40,27 @@ struct OptimizerFixture {
     EXPECT_TRUE(plan.ok()) << plan.status().ToString();
     return std::move(*plan);
   }
+
+  std::unique_ptr<DbBackend> Backend(BackendKind kind) {
+    BackendInit init;
+    init.catalog = &catalog;
+    return MakeDbBackend(kind, init);
+  }
 };
+
+/// `n` aliases of nation chained by equi-joins (n0-n1, n1-n2, ...).
+QuerySpec NationChain(int n) {
+  QuerySpec spec;
+  spec.name = "chain" + std::to_string(n);
+  for (int i = 0; i < n; ++i) {
+    spec.tables.push_back({"n" + std::to_string(i), "nation", 1.0, ""});
+    if (i > 0) {
+      spec.joins.push_back({"n" + std::to_string(i - 1), "n_nationkey",
+                            "n" + std::to_string(i), "n_nationkey"});
+    }
+  }
+  return spec;
+}
 
 int CountOps(const Plan& plan, OpType type) {
   int n = 0;
@@ -41,6 +68,18 @@ int CountOps(const Plan& plan, OpType type) {
     if (op.type == type) ++n;
   }
   return n;
+}
+
+/// Aliases of the scans in the subtree rooted at `index`.
+std::set<std::string> AliasesUnder(const Plan& plan, int index) {
+  const PlanOp& op = plan.op(index);
+  std::set<std::string> out;
+  if (op.is_scan()) out.insert(op.table_alias);
+  for (int child : op.children) {
+    const std::set<std::string> below = AliasesUnder(plan, child);
+    out.insert(below.begin(), below.end());
+  }
+  return out;
 }
 
 bool HasIndexScanOn(const Plan& plan, const std::string& table,
@@ -83,25 +122,47 @@ TEST(OptimizerTest, HighRandomPageCostKillsIndexScans) {
   EXPECT_FALSE(HasIndexScanOn(plan, "part"));
 }
 
-TEST(OptimizerTest, JoinProducesSinglePlanCoveringAllTables) {
-  OptimizerFixture f;
-  QuerySpec spec = MakeSupplierRollupSpec();
-  Plan plan = f.Optimize(spec);
-  int scans = 0;
-  for (const PlanOp& op : plan.ops()) {
-    if (op.is_scan()) ++scans;
+// --- The shared join-order search, on every backend ----------------------------
+
+class JoinOrderTest : public ::testing::TestWithParam<BackendKind> {
+ protected:
+  Plan Optimize(const QuerySpec& spec) {
+    Result<Plan> plan = backend_->OptimizeQuery(spec);
+    EXPECT_TRUE(plan.ok()) << plan.status().ToString();
+    return plan.ok() ? std::move(*plan) : Plan();
   }
-  EXPECT_EQ(scans, 3);  // supplier, nation, region.
+
+  OptimizerFixture f_;
+  std::unique_ptr<DbBackend> backend_ = f_.Backend(GetParam());
+};
+
+TEST_P(JoinOrderTest, RejectsEmptyBlock) {
+  QuerySpec empty;
+  empty.name = "empty";
+  Result<Plan> plan = backend_->OptimizeQuery(empty);
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST_P(JoinOrderTest, RejectsMoreThanSixteenTables) {
+  Result<Plan> plan = backend_->OptimizeQuery(NationChain(17));
+  ASSERT_FALSE(plan.ok());
+  EXPECT_EQ(plan.status().code(), StatusCode::kInvalidArgument);
+  // Sixteen is the limit, not the first rejected size.
+  EXPECT_EQ(Optimize(NationChain(16)).LeafIndexes().size(), 16u);
+}
+
+TEST_P(JoinOrderTest, JoinProducesSinglePlanCoveringAllTables) {
+  Plan plan = Optimize(MakeSupplierRollupSpec());
+  EXPECT_EQ(plan.LeafIndexes().size(), 3u);  // supplier, nation, region.
   EXPECT_EQ(CountOps(plan, OpType::kAggregate), 1);
   EXPECT_EQ(CountOps(plan, OpType::kSort), 1);
   EXPECT_EQ(plan.op(plan.root_index()).type, OpType::kResult);
 }
 
-TEST(OptimizerTest, EstimatesPropagateUp) {
-  OptimizerFixture f;
-  QuerySpec spec = MakeSupplierRollupSpec();
-  Plan plan = f.Optimize(spec);
-  // Root cost must be at least any single scan's cost (cumulative costs).
+TEST_P(JoinOrderTest, EstimatesPropagateUp) {
+  Plan plan = Optimize(MakeSupplierRollupSpec());
+  // Root cost must be at least any single op's cost (cumulative costs).
   const double root_cost = plan.op(plan.root_index()).est_cost;
   for (const PlanOp& op : plan.ops()) {
     EXPECT_LE(op.est_cost, root_cost + 1e-9)
@@ -110,10 +171,10 @@ TEST(OptimizerTest, EstimatesPropagateUp) {
   }
 }
 
-TEST(OptimizerTest, Q2HasNineLeavesAndSubqueryBlock) {
-  OptimizerFixture f;
-  Plan plan = f.Optimize(MakeTpchQ2Spec());
+TEST_P(JoinOrderTest, Q2HasNineLeavesAndSubqueryBlock) {
+  Plan plan = Optimize(MakeTpchQ2Spec());
   EXPECT_EQ(plan.LeafIndexes().size(), 9u);
+  EXPECT_EQ(plan.op(plan.root_index()).type, OpType::kResult);
   EXPECT_EQ(CountOps(plan, OpType::kAggregate), 1);  // min() group by.
   EXPECT_EQ(CountOps(plan, OpType::kLimit), 1);
   // Both partsupp occurrences scanned.
@@ -124,12 +185,46 @@ TEST(OptimizerTest, Q2HasNineLeavesAndSubqueryBlock) {
   EXPECT_EQ(partsupp_scans, 2);
 }
 
-TEST(OptimizerTest, DeterministicAcrossRuns) {
-  OptimizerFixture f;
-  Plan a = f.Optimize(MakeTpchQ2Spec());
-  Plan b = f.Optimize(MakeTpchQ2Spec());
-  EXPECT_EQ(a.Fingerprint(), b.Fingerprint());
+TEST_P(JoinOrderTest, RepeatedOptimizeRendersIdentically) {
+  const std::string first = Optimize(MakeTpchQ2Spec()).Render();
+  EXPECT_EQ(Optimize(MakeTpchQ2Spec()).Render(), first);
 }
+
+TEST_P(JoinOrderTest, DisconnectedJoinGraphPlansThroughCartesianFallback) {
+  // region shares no predicate with supplier or nation, so some join must
+  // be a cartesian product — and only one: s-n still joins on its key.
+  QuerySpec spec;
+  spec.name = "disconnected";
+  spec.tables = {{"s", "supplier", 1.0, ""},
+                 {"n", "nation", 1.0, ""},
+                 {"r", "region", 1.0, ""}};
+  spec.joins = {{"s", "s_nationkey", "n", "n_nationkey"}};
+  Plan plan = Optimize(spec);
+  EXPECT_EQ(plan.LeafIndexes().size(), 3u);
+  EXPECT_EQ(plan.op(plan.root_index()).type, OpType::kResult);
+  int cartesian = 0;
+  int keyed = 0;
+  for (const PlanOp& op : plan.ops()) {
+    if (op.detail == "s.s_nationkey = n.n_nationkey") ++keyed;
+    if (op.detail != "cartesian") continue;
+    ++cartesian;
+    // Cartesian only when unavoidable: no predicate may join the outer
+    // input to a table still outside it.
+    const std::set<std::string> outer = AliasesUnder(plan, op.children[0]);
+    for (const JoinPredicate& j : spec.joins) {
+      EXPECT_EQ(outer.count(j.left_alias), outer.count(j.right_alias))
+          << plan.Render();
+    }
+  }
+  EXPECT_EQ(cartesian, 1);
+  EXPECT_EQ(keyed, 1);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllBackends, JoinOrderTest, ::testing::ValuesIn(AllBackendKinds()),
+    [](const ::testing::TestParamInfo<BackendKind>& info) {
+      return std::string(BackendKindName(info.param));
+    });
 
 // --- Plan-change sensitivity (the Module PD levers) -----------------------------
 
@@ -204,14 +299,6 @@ TEST(OptimizerTest, ParamByNameRoundTrip) {
   EXPECT_DOUBLE_EQ(GetParamByName(params, "work_mem_mb").value(), 64);
   EXPECT_FALSE(SetParamByName(&params, "no_such_param", 1).ok());
   EXPECT_FALSE(GetParamByName(params, "no_such_param").ok());
-}
-
-TEST(OptimizerTest, RejectsEmptyBlock) {
-  OptimizerFixture f;
-  QuerySpec empty;
-  empty.name = "empty";
-  Optimizer optimizer(&f.catalog, DbParams{});
-  EXPECT_FALSE(optimizer.Optimize(empty).ok());
 }
 
 // Property sweep: whatever the random_page_cost, the optimizer must return

@@ -44,7 +44,7 @@ using workload::SerialDiagnosis;
 // --- ThreadPool -------------------------------------------------------------
 
 TEST(ThreadPoolTest, RunsSubmittedTasks) {
-  ThreadPool pool({/*workers=*/3, /*queue_capacity=*/16});
+  ThreadPool pool({/*workers=*/3, /*queue_capacity=*/16, /*fairness=*/{}});
   std::atomic<int> count{0};
   for (int i = 0; i < 50; ++i) {
     ASSERT_TRUE(pool.Submit([&count] { ++count; }).ok());
@@ -56,7 +56,7 @@ TEST(ThreadPoolTest, RunsSubmittedTasks) {
 TEST(ThreadPoolTest, BackpressureBlocksThenCompletes) {
   // One slow worker, capacity 2: submissions beyond the capacity block the
   // producer instead of growing the queue, and all tasks still run.
-  ThreadPool pool({/*workers=*/1, /*queue_capacity=*/2});
+  ThreadPool pool({/*workers=*/1, /*queue_capacity=*/2, /*fairness=*/{}});
   std::atomic<int> count{0};
   for (int i = 0; i < 10; ++i) {
     ASSERT_TRUE(pool.Submit([&count] {
@@ -72,7 +72,7 @@ TEST(ThreadPoolTest, BackpressureBlocksThenCompletes) {
 }
 
 TEST(ThreadPoolTest, ShutdownCancelsQueuedAndRejectsNew) {
-  ThreadPool pool({/*workers=*/2, /*queue_capacity=*/64});
+  ThreadPool pool({/*workers=*/2, /*queue_capacity=*/64, /*fairness=*/{}});
   std::atomic<int> ran{0};
   std::atomic<int> cancelled{0};
   for (int i = 0; i < 20; ++i) {
@@ -98,7 +98,7 @@ TEST(ThreadPoolTest, ShutdownCancelsQueuedAndRejectsNew) {
 }
 
 TEST(ThreadPoolTest, DrainThenShutdownRunsEverything) {
-  ThreadPool pool({/*workers=*/2, /*queue_capacity=*/64});
+  ThreadPool pool({/*workers=*/2, /*queue_capacity=*/64, /*fairness=*/{}});
   std::atomic<int> count{0};
   for (int i = 0; i < 20; ++i) {
     ASSERT_TRUE(pool.Submit([&count] { ++count; }).ok());
@@ -109,7 +109,7 @@ TEST(ThreadPoolTest, DrainThenShutdownRunsEverything) {
 }
 
 TEST(ThreadPoolTest, ShutdownIsIdempotent) {
-  ThreadPool pool({2, 8});
+  ThreadPool pool({2, 8, {}});
   pool.Shutdown();
   pool.Shutdown();
 }
@@ -542,8 +542,8 @@ TEST_F(EngineScenarioTest, TraceCoversColdDiagnosisEndToEnd) {
 
 TEST_F(EngineScenarioTest, TracingIsDigestNeutral) {
   // Same scenario, tracer detached vs attached: byte-identical digests.
-  // (The 24-config conformance matrix runs untraced; bench_engine_throughput
-  // CI-gates the same property across a whole fleet.)
+  // (The 50-config conformance matrix runs untraced; bench_engine_throughput
+  // exits non-zero if tracing changes any report digest of its fleet.)
   std::string untraced_digest;
   {
     EngineOptions options;
@@ -920,25 +920,6 @@ TEST_F(EngineInvalidationTest, PostAppendQueryIsNeverServedStaleReport) {
   DiagnosisResponse cached = engine.Submit(Request("tenant-a")).get();
   ASSERT_TRUE(cached.ok());
   EXPECT_TRUE(cached.cache_hit);
-}
-
-TEST_F(EngineInvalidationTest, LegacyModeServesCachedReportAcrossAppend) {
-  // With generation validation off, the old TTL-free LRU behavior holds:
-  // the repeat after an Append is still the cached (stale) object. This
-  // pins the knob so the default's value is visible.
-  EngineOptions options;
-  options.workers = 2;
-  options.invalidate_results_on_append = false;
-  DiagnosisEngine engine(options, symptoms_.get());
-
-  DiagnosisResponse first = engine.Submit(Request("tenant-a")).get();
-  ASSERT_TRUE(first.ok());
-  AppendToV1();
-  DiagnosisResponse repeat = engine.Submit(Request("tenant-a")).get();
-  ASSERT_TRUE(repeat.ok());
-  EXPECT_TRUE(repeat.cache_hit);
-  EXPECT_EQ(repeat.report.get(), first.report.get());
-  EXPECT_EQ(engine.Stats().cache_invalidations, 0u);
 }
 
 TEST_F(EngineInvalidationTest, ExplicitTenantInvalidationIsScopedToTag) {
